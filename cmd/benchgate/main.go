@@ -46,10 +46,10 @@ type gate struct {
 }
 
 // gates mirrors the hot-path contract documented in DESIGN.md: the
-// verify, exact-search inner branch, sweep-evaluate, and warm
-// delta-repair paths must stay allocation-free, and the symmetry-reduced
-// exact engine must keep its search-effort wins (node ceilings from
-// EXPERIMENTS.md §I, measured +10% headroom).
+// verify, exact-search inner branch, sweep-evaluate, warm delta-repair
+// and WDM network-fact paths must stay allocation-free, and the
+// symmetry-reduced exact engine must keep its search-effort wins (node
+// ceilings from EXPERIMENTS.md §I, measured +10% headroom).
 var gates = []gate{
 	{Bench: "BenchmarkVerifyWarm", Package: "./internal/cover", Benchtime: "500x", MaxAllocs: 0},
 	{Bench: "BenchmarkGeneralVerify", Package: "./internal/cover", Benchtime: "500x", MaxAllocs: 0},
@@ -57,6 +57,7 @@ var gates = []gate{
 	{Bench: "BenchmarkExactInnerBranch", Package: "./internal/construct", Benchtime: "5x", MaxAllocs: 0},
 	{Bench: "BenchmarkSweepEvaluate", Package: "./internal/survive", Benchtime: "2000x", MaxAllocs: 0},
 	{Bench: "BenchmarkDeltaRepairWarm", Package: "./internal/construct", Benchtime: "500x", MaxAllocs: 0},
+	{Bench: "BenchmarkNetworkFacts", Package: "./internal/wdm", Benchtime: "10000x", MaxAllocs: 0},
 	{Bench: "BenchmarkExact", Package: ".", Benchtime: "1x", MaxAllocs: -1, MaxNodes: 850},
 	{Bench: "BenchmarkExactCert", Package: ".", Benchtime: "1x", MaxAllocs: -1, MaxNodes: 7_000_000},
 }

@@ -143,6 +143,7 @@ func TestGatesMatchPinnedContract(t *testing.T) {
 		"BenchmarkExactInnerBranch": {pkg: "./internal/construct"},
 		"BenchmarkSweepEvaluate":    {pkg: "./internal/survive"},
 		"BenchmarkDeltaRepairWarm":  {pkg: "./internal/construct"},
+		"BenchmarkNetworkFacts":     {pkg: "./internal/wdm"},
 		"BenchmarkExact":            {pkg: ".", allocs: -1, nodes: true},
 		"BenchmarkExactCert":        {pkg: ".", allocs: -1, nodes: true},
 	}

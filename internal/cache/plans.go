@@ -22,7 +22,10 @@ const DefaultCapacity = 256
 // signature. It is safe for concurrent use; every covering handed out is
 // a private clone, so callers may canonicalize or extend their copy
 // without corrupting the cache, while cached *wdm.Network values are
-// shared and must be treated as read-only.
+// shared and must be treated as read-only. A network is planned once per
+// signature in O(Σ|C| + n) and is immutable with its facts (ADMs,
+// transit, cost inputs) precomputed, so a hit serves the shared value and
+// reading its facts costs O(1) with no allocation.
 type Plans struct {
 	coverings *Store
 	networks  *Store

@@ -95,9 +95,16 @@ func (t Tour) Validate(r ring.Ring) error {
 // cyclic order, clockwise or counter-clockwise — the structural criterion
 // for DRC-routability. It runs in O(k) after normalising the start.
 func (t Tour) IsRingOrdered(r ring.Ring) bool {
+	_, ok := t.ringDirection(r)
+	return ok
+}
+
+// ringDirection is IsRingOrdered that also reports the direction of
+// travel, summing the clockwise gaps once for both answers.
+func (t Tour) ringDirection(r ring.Ring) (clockwise, ok bool) {
 	k := len(t)
 	if k < 3 {
-		return false
+		return false, false
 	}
 	// Clockwise: the gaps t[i] → t[i+1] must sum to exactly n; they always
 	// sum to a positive multiple of n, and equal n exactly when the tour
@@ -107,14 +114,14 @@ func (t Tour) IsRingOrdered(r ring.Ring) bool {
 		cw += r.Gap(t[i], t[(i+1)%k])
 	}
 	if cw == r.N() {
-		return true
+		return true, true
 	}
 	// Counter-clockwise: same test on the reversed tour.
 	ccw := 0
 	for i := 0; i < k; i++ {
 		ccw += r.Gap(t[(i+1)%k], t[i])
 	}
-	return ccw == r.N()
+	return false, ccw == r.N()
 }
 
 // CanonicalRouting returns the edge-disjoint routing of a ring-ordered
@@ -122,20 +129,16 @@ func (t Tour) IsRingOrdered(r ring.Ring) bool {
 // travel. ok is false if the tour is not ring-ordered (no disjoint routing
 // exists, per the structure theorem).
 func (t Tour) CanonicalRouting(r ring.Ring) ([]Route, bool) {
-	if !t.IsRingOrdered(r) {
+	clockwise, ok := t.ringDirection(r)
+	if !ok {
 		return nil, false
 	}
-	// Determine travel direction: clockwise iff clockwise gaps sum to n.
-	cw := 0
 	k := len(t)
-	for i := 0; i < k; i++ {
-		cw += r.Gap(t[i], t[(i+1)%k])
-	}
 	routes := make([]Route, 0, k)
 	for i := 0; i < k; i++ {
 		u, v := t[i], t[(i+1)%k]
 		a := r.ArcBetween(u, v)
-		if cw != r.N() { // counter-clockwise travel
+		if !clockwise {
 			a = r.ArcBetween(v, u)
 		}
 		routes = append(routes, Route{Request: graph.NewEdge(u, v), Arc: a})

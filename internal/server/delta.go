@@ -9,7 +9,6 @@ import (
 
 	"github.com/cyclecover/cyclecover/internal/cache"
 	"github.com/cyclecover/cyclecover/internal/construct"
-	"github.com/cyclecover/cyclecover/internal/cover"
 	"github.com/cyclecover/cyclecover/internal/instance"
 )
 
@@ -131,16 +130,7 @@ func (s *Server) handlePlanDelta(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return planned{
-			res: res,
-			nw: &wdmNetwork{
-				wavelengths: nw.Wavelengths(),
-				adms:        nw.ADMCount(),
-				maxTransit:  nw.MaxTransit(),
-				cost:        defaultCost(nw),
-			},
-			hit: coverHit && netHit,
-		}, nil
+		return planned{res: res, nw: nw, hit: coverHit && netHit}, nil
 	})
 	if err != nil {
 		status := jobStatus(ctx, err)
@@ -154,29 +144,10 @@ func (s *Server) handlePlanDelta(w http.ResponseWriter, r *http.Request) {
 	pl := v.(planned)
 
 	resp := deltaResponse{
-		planResponse: planResponse{
-			Signature:   dp.ChildSig,
-			N:           dp.Child.N(),
-			Demand:      dp.Child.Name,
-			Strategy:    dp.Opts.Strategy,
-			Size:        pl.res.Covering.Size(),
-			Optimal:     pl.res.Optimal,
-			Method:      string(pl.res.Method),
-			Wavelengths: pl.nw.wavelengths,
-			ADMs:        pl.nw.adms,
-			MaxTransit:  pl.nw.maxTransit,
-			Cost:        pl.nw.cost,
-			CacheHit:    pl.hit,
-		},
-		Parent:   dp.ParentSig,
-		Delta:    d.String(),
-		Repaired: pl.res.Method == construct.MethodDelta,
-	}
-	if isAllToAll(dp.Child) {
-		resp.Rho = cover.Rho(dp.Child.N())
-	}
-	for _, c := range pl.res.Covering.Cycles {
-		resp.Cycles = append(resp.Cycles, c.Vertices())
+		planResponse: buildPlanResponse(dp.ChildSig, dp.Child, dp.Opts.Strategy, pl.res, pl.nw, pl.hit),
+		Parent:       dp.ParentSig,
+		Delta:        d.String(),
+		Repaired:     pl.res.Method == construct.MethodDelta,
 	}
 	if resp.CacheHit {
 		w.Header().Set("X-Cache", "HIT")

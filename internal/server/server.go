@@ -26,9 +26,6 @@ import (
 	"github.com/cyclecover/cyclecover/internal/wdm"
 )
 
-// defaultCost prices a network with the package-default cost model.
-func defaultCost(nw *wdm.Network) float64 { return wdm.DefaultCostModel.Cost(nw) }
-
 // MaxRingSize bounds the ring sizes the service accepts. The demand
 // graph and covering are Θ(n²), so n must be validated before any
 // instance is materialized — and building K_n for an attacker-chosen n
@@ -298,21 +295,13 @@ type planResponse struct {
 	CacheHit    bool    `json:"cacheHit"`
 }
 
-// planned bundles what one pool job computes.
+// planned bundles what one pool job computes. nw is the cached network
+// itself: a planned *wdm.Network is immutable and its facts are stored
+// by wdm.Plan, so handlers read them concurrently without copying.
 type planned struct {
 	res cache.CoverResult
-	nw  *wdmNetwork
+	nw  *wdm.Network // nil for general instances
 	hit bool
-}
-
-// wdmNetwork is the slice of network facts the response needs; computed
-// inside the job so handlers never touch the shared *wdm.Network
-// concurrently with encoding.
-type wdmNetwork struct {
-	wavelengths int
-	adms        int
-	maxTransit  int
-	cost        float64
 }
 
 // planOne validates one (n, demand-spec, strategy) request and computes
@@ -388,16 +377,7 @@ func (s *Server) planOne(ctx context.Context, n int, spec, strategy string) (pla
 		if err != nil {
 			return nil, err
 		}
-		return planned{
-			res: res,
-			nw: &wdmNetwork{
-				wavelengths: nw.Wavelengths(),
-				adms:        nw.ADMCount(),
-				maxTransit:  nw.MaxTransit(),
-				cost:        defaultCost(nw),
-			},
-			hit: coverHit && netHit,
-		}, nil
+		return planned{res: res, nw: nw, hit: coverHit && netHit}, nil
 	})
 	if err != nil {
 		return planResponse{}, jobStatus(ctx, err), fmt.Errorf("plan failed: %w", err)
@@ -420,7 +400,7 @@ func (s *Server) planOne(ctx context.Context, n int, spec, strategy string) (pla
 // buildPlanResponse assembles the /plan JSON from a covering result and
 // (for ring instances) its WDM network facts. Shared by the normal
 // planOne path and the stale-serve path.
-func buildPlanResponse(sig string, in instance.Instance, strategy string, res cache.CoverResult, nw *wdmNetwork, hit bool) planResponse {
+func buildPlanResponse(sig string, in instance.Instance, strategy string, res cache.CoverResult, nw *wdm.Network, hit bool) planResponse {
 	resp := planResponse{
 		Signature: sig,
 		N:         in.N(),
@@ -433,16 +413,19 @@ func buildPlanResponse(sig string, in instance.Instance, strategy string, res ca
 		CacheHit:  hit,
 	}
 	if nw != nil {
-		resp.Wavelengths = nw.wavelengths
-		resp.ADMs = nw.adms
-		resp.MaxTransit = nw.maxTransit
-		resp.Cost = nw.cost
+		resp.Wavelengths = nw.Wavelengths()
+		resp.ADMs = nw.ADMCount()
+		resp.MaxTransit = nw.MaxTransit()
+		resp.Cost = wdm.DefaultCostModel.Cost(nw)
 	}
 	if in.IsGeneral() {
 		resp.Length = res.Covering.TotalLength()
 		resp.SCCLowerBound = cover.SCCLowerBound(in.Host)
 	} else if isAllToAll(in) {
 		resp.Rho = cover.Rho(in.N())
+	}
+	if k := len(res.Covering.Cycles); k > 0 { // an empty covering encodes as null
+		resp.Cycles = make([][]int, 0, k)
 	}
 	for _, c := range res.Covering.Cycles {
 		resp.Cycles = append(resp.Cycles, c.Vertices())
@@ -462,17 +445,10 @@ func (s *Server) stalePlan(in instance.Instance, strategy string) (planResponse,
 		if !ok {
 			continue
 		}
-		var nw *wdmNetwork
+		var nw *wdm.Network
 		if !in.IsGeneral() {
-			n, ok := s.plans.LookupNetwork(in, o)
-			if !ok {
+			if nw, ok = s.plans.LookupNetwork(in, o); !ok {
 				continue
-			}
-			nw = &wdmNetwork{
-				wavelengths: n.Wavelengths(),
-				adms:        n.ADMCount(),
-				maxTransit:  n.MaxTransit(),
-				cost:        defaultCost(n),
 			}
 		}
 		resp := buildPlanResponse(cache.Signature(in, o), in, strategy, res, nw, true)

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/cyclecover/cyclecover/internal/wdm"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -151,6 +153,51 @@ func TestPlanCacheHitHeader(t *testing.T) {
 	}
 	if !second.CacheHit || second.Size != first.Size || second.Signature != first.Signature {
 		t.Fatalf("cached response drifted: %+v vs %+v", second, first)
+	}
+}
+
+// TestPlanFactsMatchCycles recomputes every optical fact of a /plan
+// response from the cycles it lists — wavelengths 2·C, one ADM per cycle
+// vertex, transit 2·(C − cycles through v), the default cost model — on
+// the miss and on the hit, whose bodies may differ only in cacheHit. The
+// empty demand keeps encoding its covering as null.
+func TestPlanFactsMatchCycles(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, q := range []string{"n=13", "n=21&demand=lambda:2", "n=30&demand=hub:0", "n=40&demand=random:0.5:3", "n=7&demand=random:0:1"} {
+		var bodies [2][]byte
+		for i := range bodies {
+			_, bodies[i] = get(t, ts.URL+"/plan?"+q)
+		}
+		if !bytes.Equal(bodies[1], bytes.Replace(bodies[0], []byte(`"cacheHit": false`), []byte(`"cacheHit": true`), 1)) {
+			t.Fatalf("%s: hit body differs from miss body beyond cacheHit:\n%s\n%s", q, bodies[0], bodies[1])
+		}
+		var resp planResponse
+		if err := json.Unmarshal(bodies[1], &resp); err != nil {
+			t.Fatal(err)
+		}
+		c := len(resp.Cycles)
+		adms, onCycles := 0, make([]int, resp.N)
+		for _, cyc := range resp.Cycles {
+			adms += len(cyc)
+			for _, v := range cyc {
+				onCycles[v]++
+			}
+		}
+		maxTransit, totalTransit := 0, 0
+		for _, k := range onCycles {
+			totalTransit += 2 * (c - k)
+			maxTransit = max(maxTransit, 2*(c-k))
+		}
+		m := wdm.DefaultCostModel
+		cost := m.PerWavelength*float64(2*c) + m.PerADM*float64(adms) +
+			m.PerTransit*float64(totalTransit) + m.PerLinkChan*float64(2*c*resp.N)
+		if resp.Wavelengths != 2*c || resp.ADMs != adms || resp.MaxTransit != maxTransit || resp.Cost != cost {
+			t.Errorf("%s: facts (wavelengths %d, adms %d, maxTransit %d, cost %v), cycles imply (%d, %d, %d, %v)",
+				q, resp.Wavelengths, resp.ADMs, resp.MaxTransit, resp.Cost, 2*c, adms, maxTransit, cost)
+		}
+		if c == 0 && !bytes.Contains(bodies[1], []byte(`"cycles": null`)) {
+			t.Errorf("%s: empty covering no longer encodes as null: %s", q, bodies[1])
+		}
 	}
 }
 

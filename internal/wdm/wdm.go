@@ -12,6 +12,15 @@
 // 2·(number of cycles) wavelengths. That is the formal content of the
 // paper's remark that, on a ring, minimising network cost means minimising
 // the number of subnetworks — which is what ρ(n) captures.
+//
+// Planning is linear: Plan makes one pass over the cycles' consecutive
+// pairs, O(Σ|C| + n) where Σ|C| is the covering's total vertex count, and
+// in that pass assigns every demand pair and counts each vertex's cycles.
+// The network facts the paper prices — ADMs, per-vertex and maximum
+// optical transit, the cost model's total transit — are stored on the
+// Network then, so their accessors are O(1) and allocation-free. A planned
+// Network is immutable: nothing mutates it after Plan returns, so caches
+// share one value across concurrent readers.
 package wdm
 
 import (
@@ -39,17 +48,26 @@ type Subnetwork struct {
 
 // Network is a planned survivable WDM ring: the physical ring, the demand
 // it serves, and one subnetwork per covering cycle. Every demand pair is
-// assigned to exactly one subnetwork (the first cycle covering it).
+// assigned to exactly one subnetwork (the first cycle covering it). The
+// facts behind ADMCount, TransitAt, MaxTransit and CostModel.Cost are
+// computed once by Plan; a Network must come from Plan and must not be
+// modified afterwards.
 type Network struct {
-	Ring        ring.Ring
-	Demand      *graph.Graph
-	Subnets     []Subnetwork
-	Assignment  map[graph.Edge]int // demand pair → subnetwork index
-	unprotected []graph.Edge
+	Ring       ring.Ring
+	Demand     *graph.Graph
+	Subnets    []Subnetwork
+	Assignment map[graph.Edge]int // demand pair → subnetwork index
+
+	adms         int   // Σ|C|: one ADM per (node, subnetwork) incidence
+	transit      []int // transit[v] = 2·(cycles − cycles through v)
+	maxTransit   int
+	totalTransit int
 }
 
 // Plan builds the network design for a demand graph and a covering. It
 // fails if the covering does not cover the demand or violates the DRC.
+// After verification it runs in O(Σ|C| + n): one pass over each cycle's
+// consecutive pairs assigns the demand and counts vertex incidences.
 func Plan(cv *cover.Covering, demand *graph.Graph) (*Network, error) {
 	if err := cover.Verify(cv, demand); err != nil {
 		return nil, fmt.Errorf("wdm: covering rejected: %w", err)
@@ -57,11 +75,14 @@ func Plan(cv *cover.Covering, demand *graph.Graph) (*Network, error) {
 	nw := &Network{
 		Ring:       cv.Ring,
 		Demand:     demand,
-		Assignment: make(map[graph.Edge]int),
+		Subnets:    make([]Subnetwork, 0, len(cv.Cycles)),
+		Assignment: make(map[graph.Edge]int, demand.DistinctEdges()),
 	}
+	dn := demand.N()                    // may be smaller than the ring
+	transit := make([]int, cv.Ring.N()) // cycles through v, then transit at v
 	for i, c := range cv.Cycles {
-		tour := routing.Tour(c.Vertices())
-		routes, ok := tour.CanonicalRouting(cv.Ring)
+		vs := c.Vertices()
+		routes, ok := routing.Tour(vs).CanonicalRouting(cv.Ring)
 		if !ok {
 			return nil, fmt.Errorf("wdm: cycle %v is not DRC-routable", c)
 		}
@@ -72,31 +93,45 @@ func Plan(cv *cover.Covering, demand *graph.Graph) (*Network, error) {
 			Spare:   Wavelength(2*i + 1),
 			Routes:  routes,
 		})
-	}
-	// Assign each demand pair to the first subnetwork covering it.
-	for _, e := range demand.Edges() {
-		assigned := false
-		for i, c := range cv.Cycles {
-			if c.CoversPair(e.U, e.V) {
+		nw.adms += len(vs)
+		// The cycle covers exactly its cyclically consecutive pairs; a
+		// demanded pair keeps the first subnetwork that covers it.
+		prev := vs[len(vs)-1]
+		for _, v := range vs {
+			transit[v]++
+			u := prev
+			prev = v
+			if u >= dn || v >= dn || !demand.HasEdge(u, v) {
+				continue
+			}
+			e := graph.NewEdge(u, v)
+			if _, done := nw.Assignment[e]; !done {
 				nw.Assignment[e] = i
-				assigned = true
-				break
 			}
 		}
-		if !assigned {
-			// Unreachable given Verify above; kept as a hard invariant.
-			nw.unprotected = append(nw.unprotected, e)
+	}
+	if missing := demand.DistinctEdges() - len(nw.Assignment); missing > 0 {
+		// Unreachable given Verify above; kept as a hard invariant.
+		return nil, fmt.Errorf("wdm: %d demands unassigned despite verified covering", missing)
+	}
+	// Both wavelengths of every subnetwork not through v pass v optically.
+	for v, k := range transit {
+		t := 2 * (len(nw.Subnets) - k)
+		transit[v] = t
+		nw.totalTransit += t
+		if t > nw.maxTransit {
+			nw.maxTransit = t
 		}
 	}
-	if len(nw.unprotected) > 0 {
-		return nil, fmt.Errorf("wdm: %d demands unassigned despite verified covering", len(nw.unprotected))
-	}
+	nw.transit = transit
 	return nw, nil
 }
 
 // Wavelengths returns the number of wavelength channels the design needs:
 // two per subnetwork (working + spare), with no reuse possible since every
 // subnetwork's routing tiles the whole ring.
+//
+//cyclecover:noalloc
 func (nw *Network) Wavelengths() int { return 2 * len(nw.Subnets) }
 
 // ADMCount returns the number of add-drop multiplexers: one per
@@ -106,39 +141,29 @@ func (nw *Network) Wavelengths() int { return 2 * len(nw.Subnets) }
 // objective of Eilam–Moran–Zaks [3] and Gerstel–Lin–Sasaki [4]; the
 // comparison experiment C2 contrasts it with the paper's cycle-count
 // objective.
-func (nw *Network) ADMCount() int {
-	t := 0
-	for _, s := range nw.Subnets {
-		t += s.Cycle.Len()
-	}
-	return t
-}
+//
+//cyclecover:noalloc
+func (nw *Network) ADMCount() int { return nw.adms }
 
 // TransitAt returns the number of wavelength channels passing through node
 // v purely optically: both wavelengths of every subnetwork whose cycle
 // does not include v (the working path and its spare traverse every node
-// of the ring, but only cycle members add/drop).
+// of the ring, but only cycle members add/drop). A v off the ring lies on
+// no cycle.
+//
+//cyclecover:noalloc
 func (nw *Network) TransitAt(v int) int {
-	t := 0
-	for _, s := range nw.Subnets {
-		if !s.Cycle.Contains(v) {
-			t += 2
-		}
+	if v < 0 || v >= len(nw.transit) {
+		return nw.Wavelengths()
 	}
-	return t
+	return nw.transit[v]
 }
 
 // MaxTransit returns the maximum optical transit load over all nodes — a
 // driver of optical-node cost in the paper's cost discussion.
-func (nw *Network) MaxTransit() int {
-	m := 0
-	for v := 0; v < nw.Ring.N(); v++ {
-		if t := nw.TransitAt(v); t > m {
-			m = t
-		}
-	}
-	return m
-}
+//
+//cyclecover:noalloc
+func (nw *Network) MaxTransit() int { return nw.maxTransit }
 
 // SubnetworkFor returns the subnetwork serving the request {u,v}; ok is
 // false when the pair is not a demand.
@@ -185,15 +210,13 @@ var DefaultCostModel = CostModel{
 	PerLinkChan:   0.5,
 }
 
-// Cost evaluates the model on a planned network.
+// Cost evaluates the model on a planned network from its stored facts.
+//
+//cyclecover:noalloc
 func (m CostModel) Cost(nw *Network) float64 {
-	totalTransit := 0
-	for v := 0; v < nw.Ring.N(); v++ {
-		totalTransit += nw.TransitAt(v)
-	}
 	channels := float64(nw.Wavelengths() * nw.Ring.Links())
 	return m.PerWavelength*float64(nw.Wavelengths()) +
 		m.PerADM*float64(nw.ADMCount()) +
-		m.PerTransit*float64(totalTransit) +
+		m.PerTransit*float64(nw.totalTransit) +
 		m.PerLinkChan*channels
 }
