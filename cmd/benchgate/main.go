@@ -1,17 +1,20 @@
 // Command benchgate enforces the hot-path performance budgets in CI. It
-// runs a pinned set of -benchmem benchmarks, parses their allocs/op
-// figures — and, for the search benchmarks, the custom nodes/op metric —
-// from `go test` output, and diffs the results against the pinned names:
+// runs a pinned set of -benchmem benchmarks, parses their allocs/op and
+// B/op figures — and, for the search benchmarks, the custom nodes/op
+// metric — from `go test` output, and diffs the results against the pinned names:
 // a missing benchmark (renamed, deleted, or silently skipped) fails the
 // gate just as hard as a blown budget, so neither the allocation
 // contract nor the search-effort contract can rot by omission.
 //
 // Budgets are per-metric: MaxAllocs < 0 leaves allocations ungated (the
-// exact-search end-to-end benchmarks allocate their solutions), and
-// MaxNodes 0 leaves search effort ungated (most benchmarks report no
-// nodes/op metric at all). Node counts are deterministic — the exact
-// search is pinned to be bit-identical run to run — so a nodes/op
-// ceiling is a hard regression tripwire, not a flaky timing threshold.
+// exact-search end-to-end benchmarks allocate their solutions), MaxNodes
+// 0 leaves search effort ungated (most benchmarks report no nodes/op
+// metric at all), and MaxBytes 0 leaves B/op ungated. Node counts are
+// deterministic — the exact search is pinned to be bit-identical run to
+// run — so a nodes/op ceiling is a hard regression tripwire, not a flaky
+// timing threshold. A B/op budget guards an order-of-magnitude contract
+// (a large table that must only be allocated when used), so it sits far
+// from both the measured figure and the regression it catches.
 //
 // Usage:
 //
@@ -36,20 +39,25 @@ import (
 // iteration "Nx" form so the run cost stays bounded in CI. MaxAllocs is
 // the inclusive allocs/op budget, or negative to leave allocations
 // ungated; MaxNodes is the inclusive nodes/op budget, or 0 to leave
-// search effort ungated.
+// search effort ungated; MaxBytes is the inclusive B/op budget, or 0 to
+// leave bytes ungated.
 type gate struct {
 	Bench     string // exact benchmark function name
 	Package   string // package pattern passed to go test
 	Benchtime string // -benchtime value, e.g. "500x"
 	MaxAllocs int64  // inclusive allocs/op budget; < 0 = ungated
 	MaxNodes  int64  // inclusive nodes/op budget; 0 = ungated
+	MaxBytes  int64  // inclusive B/op budget; 0 = ungated
 }
 
 // gates mirrors the hot-path contract documented in DESIGN.md: the
-// verify, exact-search inner branch, sweep-evaluate, warm delta-repair
-// and WDM network-fact paths must stay allocation-free, and the
-// symmetry-reduced exact engine must keep its search-effort wins (node
-// ceilings from EXPERIMENTS.md §I, measured +10% headroom).
+// verify, exact-search inner branch, sweep-evaluate, warm delta-repair,
+// WDM network-fact and λ-class recognition paths must stay
+// allocation-free, the symmetry-reduced exact engine must keep its
+// search-effort wins (node ceilings from EXPERIMENTS.md §I, measured
+// +10% headroom), and the portfolio on odd n must not allocate the exact
+// member's transposition table up front (about 40 KB/op measured, 10.5
+// MB/op when the table is built eagerly; EXPERIMENTS.md §K).
 var gates = []gate{
 	{Bench: "BenchmarkVerifyWarm", Package: "./internal/cover", Benchtime: "500x", MaxAllocs: 0},
 	{Bench: "BenchmarkGeneralVerify", Package: "./internal/cover", Benchtime: "500x", MaxAllocs: 0},
@@ -58,19 +66,23 @@ var gates = []gate{
 	{Bench: "BenchmarkSweepEvaluate", Package: "./internal/survive", Benchtime: "2000x", MaxAllocs: 0},
 	{Bench: "BenchmarkDeltaRepairWarm", Package: "./internal/construct", Benchtime: "500x", MaxAllocs: 0},
 	{Bench: "BenchmarkNetworkFacts", Package: "./internal/wdm", Benchtime: "10000x", MaxAllocs: 0},
+	{Bench: "BenchmarkUniformLambda", Package: "./internal/construct", Benchtime: "2000x", MaxAllocs: 0},
+	{Bench: "BenchmarkStrategyPortfolioOdd13", Package: "./internal/construct", Benchtime: "100x", MaxAllocs: -1, MaxBytes: 2 << 20},
 	{Bench: "BenchmarkExact", Package: ".", Benchtime: "1x", MaxAllocs: -1, MaxNodes: 850},
 	{Bench: "BenchmarkExactCert", Package: ".", Benchtime: "1x", MaxAllocs: -1, MaxNodes: 7_000_000},
 }
 
 // result is one parsed benchmark line; each metric is flagged by
 // presence, since plain benchmarks report no nodes/op and runs without
-// -benchmem report no allocs/op.
+// -benchmem report no allocs/op or B/op.
 type result struct {
 	Name      string // base name: sub-benchmark path and -P suffix stripped
 	Allocs    int64
 	HasAllocs bool
 	Nodes     int64
 	HasNodes  bool
+	Bytes     int64
+	HasBytes  bool
 }
 
 func main() {
@@ -84,6 +96,9 @@ func main() {
 			}
 			if g.MaxNodes > 0 {
 				budgets += fmt.Sprintf("\tmax %d nodes/op", g.MaxNodes)
+			}
+			if g.MaxBytes > 0 {
+				budgets += fmt.Sprintf("\tmax %d B/op", g.MaxBytes)
 			}
 			fmt.Printf("%s\t%s\t-benchtime %s%s\n", g.Bench, g.Package, g.Benchtime, budgets)
 		}
@@ -148,6 +163,16 @@ func check(g gate, results []result) []string {
 					g.Bench, g.Package, r.Nodes, g.MaxNodes))
 			}
 		}
+		if g.MaxBytes > 0 {
+			switch {
+			case !r.HasBytes:
+				problems = append(problems, fmt.Sprintf("%s (%s): no B/op figure in its result line",
+					g.Bench, g.Package))
+			case r.Bytes > g.MaxBytes:
+				problems = append(problems, fmt.Sprintf("%s (%s): %d B/op, budget %d",
+					g.Bench, g.Package, r.Bytes, g.MaxBytes))
+			}
+		}
 	}
 	if !seen {
 		problems = append(problems, fmt.Sprintf("%s (%s): no result line — benchmark missing or renamed",
@@ -156,8 +181,8 @@ func check(g gate, results []result) []string {
 	return problems
 }
 
-// parseResults extracts every benchmark line carrying an allocs/op or
-// nodes/op figure. The parse keys off field positions rather than column
+// parseResults extracts every benchmark line carrying an allocs/op,
+// nodes/op or B/op figure. The parse keys off field positions rather than column
 // offsets: each count is the field immediately before its unit, and the
 // benchmark name is field 0 with any sub-benchmark path and GOMAXPROCS
 // suffix stripped. nodes/op arrives via b.ReportMetric as a float
@@ -183,9 +208,13 @@ func parseResults(out []byte) []result {
 				if v, err := strconv.ParseFloat(fields[i-1], 64); err == nil {
 					r.Nodes, r.HasNodes = int64(v+0.5), true
 				}
+			case "B/op":
+				if v, err := strconv.ParseInt(fields[i-1], 10, 64); err == nil {
+					r.Bytes, r.HasBytes = v, true
+				}
 			}
 		}
-		if r.HasAllocs || r.HasNodes {
+		if r.HasAllocs || r.HasNodes || r.HasBytes {
 			results = append(results, r)
 		}
 	}

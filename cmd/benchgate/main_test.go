@@ -24,10 +24,10 @@ ok  	github.com/cyclecover/cyclecover/internal/cover	1.234s
 func TestParseResults(t *testing.T) {
 	got := parseResults([]byte(sampleOutput))
 	want := []result{
-		{Name: "BenchmarkVerifyWarm", Allocs: 0, HasAllocs: true},
-		{Name: "BenchmarkVerifyWarm", Allocs: 2, HasAllocs: true},
-		{Name: "BenchmarkExact", Allocs: 743, HasAllocs: true, Nodes: 752244, HasNodes: true},
-		{Name: "BenchmarkExactCert", Allocs: 37, HasAllocs: true, Nodes: 40_000_000, HasNodes: true},
+		{Name: "BenchmarkVerifyWarm", Allocs: 0, HasAllocs: true, Bytes: 0, HasBytes: true},
+		{Name: "BenchmarkVerifyWarm", Allocs: 2, HasAllocs: true, Bytes: 16, HasBytes: true},
+		{Name: "BenchmarkExact", Allocs: 743, HasAllocs: true, Nodes: 752244, HasNodes: true, Bytes: 145512, HasBytes: true},
+		{Name: "BenchmarkExactCert", Allocs: 37, HasAllocs: true, Nodes: 40_000_000, HasNodes: true, Bytes: 1024, HasBytes: true},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("parsed %d results, want %d: %v", len(got), len(want), got)
@@ -95,6 +95,28 @@ func TestCheckFlagsNonzeroAllocs(t *testing.T) {
 	}
 }
 
+// TestCheckBytesBudget exercises the B/op contract like the other two:
+// within budget passes, over budget fails, and a gated benchmark whose
+// line carries no B/op figure fails too.
+func TestCheckBytesBudget(t *testing.T) {
+	g := gate{Bench: "BenchmarkStrategyPortfolioOdd13", Package: "./internal/construct", MaxAllocs: -1, MaxBytes: 2 << 20}
+
+	ok := []result{{Name: g.Bench, Allocs: 170, HasAllocs: true, Bytes: 40_000, HasBytes: true}}
+	if problems := check(g, ok); len(problems) != 0 {
+		t.Fatalf("within-budget problems: %v", problems)
+	}
+
+	over := []result{{Name: g.Bench, Bytes: 10_518_751, HasBytes: true}}
+	if problems := check(g, over); len(problems) != 1 || !strings.Contains(problems[0], "10518751 B/op") {
+		t.Fatalf("problems = %v, want one over-byte-budget violation", problems)
+	}
+
+	silent := []result{{Name: g.Bench, Nodes: 5, HasNodes: true}}
+	if problems := check(g, silent); len(problems) != 1 || !strings.Contains(problems[0], "no B/op figure") {
+		t.Fatalf("problems = %v, want one missing-metric violation", problems)
+	}
+}
+
 func TestCheckFlagsMissingBenchmark(t *testing.T) {
 	g := gate{Bench: "BenchmarkVerifyWarm", Package: "./internal/cover", MaxAllocs: 0}
 	problems := check(g, []result{{Name: "BenchmarkSomethingElse", Allocs: 0, HasAllocs: true}})
@@ -125,27 +147,31 @@ func TestCheckNodesBudget(t *testing.T) {
 	}
 }
 
-// TestGatesMatchPinnedContract guards the pinned set itself: the five
+// TestGatesMatchPinnedContract guards the pinned set itself: the seven
 // allocation-free hot paths (including the general-topology walk
-// verifier), the cubic scc pipeline smoke, and the two node-budgeted
-// search benchmarks. Editing the set is a deliberate act that must
+// verifier and the λ-class recognition behind every cache signature),
+// the cubic scc pipeline smoke, the two node-budgeted search benchmarks,
+// and the byte-budgeted odd-n portfolio (lazy transposition table). Editing the set is a deliberate act that must
 // touch this test too.
 func TestGatesMatchPinnedContract(t *testing.T) {
 	type budget struct {
 		pkg    string
 		allocs int64
 		nodes  bool // whether a nodes/op ceiling must be pinned
+		bytes  bool // whether a B/op ceiling must be pinned
 	}
 	want := map[string]budget{
-		"BenchmarkVerifyWarm":       {pkg: "./internal/cover"},
-		"BenchmarkGeneralVerify":    {pkg: "./internal/cover"},
-		"BenchmarkSCCCoverCubic":    {pkg: "./internal/construct", allocs: -1},
-		"BenchmarkExactInnerBranch": {pkg: "./internal/construct"},
-		"BenchmarkSweepEvaluate":    {pkg: "./internal/survive"},
-		"BenchmarkDeltaRepairWarm":  {pkg: "./internal/construct"},
-		"BenchmarkNetworkFacts":     {pkg: "./internal/wdm"},
-		"BenchmarkExact":            {pkg: ".", allocs: -1, nodes: true},
-		"BenchmarkExactCert":        {pkg: ".", allocs: -1, nodes: true},
+		"BenchmarkVerifyWarm":             {pkg: "./internal/cover"},
+		"BenchmarkGeneralVerify":          {pkg: "./internal/cover"},
+		"BenchmarkSCCCoverCubic":          {pkg: "./internal/construct", allocs: -1},
+		"BenchmarkExactInnerBranch":       {pkg: "./internal/construct"},
+		"BenchmarkSweepEvaluate":          {pkg: "./internal/survive"},
+		"BenchmarkDeltaRepairWarm":        {pkg: "./internal/construct"},
+		"BenchmarkNetworkFacts":           {pkg: "./internal/wdm"},
+		"BenchmarkUniformLambda":          {pkg: "./internal/construct"},
+		"BenchmarkStrategyPortfolioOdd13": {pkg: "./internal/construct", allocs: -1, bytes: true},
+		"BenchmarkExact":                  {pkg: ".", allocs: -1, nodes: true},
+		"BenchmarkExactCert":              {pkg: ".", allocs: -1, nodes: true},
 	}
 	if len(gates) != len(want) {
 		t.Fatalf("%d gates pinned, want %d", len(gates), len(want))
@@ -168,6 +194,9 @@ func TestGatesMatchPinnedContract(t *testing.T) {
 		}
 		if w.nodes != (g.MaxNodes > 0) {
 			t.Errorf("%s nodes ceiling %d, want pinned=%v", g.Bench, g.MaxNodes, w.nodes)
+		}
+		if w.bytes != (g.MaxBytes > 0) {
+			t.Errorf("%s bytes ceiling %d, want pinned=%v", g.Bench, g.MaxBytes, w.bytes)
 		}
 		if !strings.HasSuffix(g.Benchtime, "x") {
 			t.Errorf("%s benchtime %q, want fixed-iteration Nx form", g.Bench, g.Benchtime)

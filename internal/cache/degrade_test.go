@@ -124,13 +124,19 @@ func TestLookupProbe(t *testing.T) {
 	if _, ok := p.Lookup(in, Options{Degrade: true}); ok {
 		t.Fatal("Lookup(full) satisfied a degraded probe")
 	}
-	if _, ok := p.LookupNetwork(in, Options{}); ok {
-		t.Fatal("LookupNetwork hit before any network was planned")
+	sig := Signature(in, Options{})
+	if _, _, ok := p.LookupPlanned(in, sig); ok {
+		t.Fatal("LookupPlanned hit before any network was planned")
 	}
 	if _, _, err := p.Network(in, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.LookupNetwork(in, Options{}); !ok {
-		t.Fatal("LookupNetwork missed a cached network")
+	res, nw, ok := p.LookupPlanned(in, sig)
+	if !ok || nw == nil {
+		t.Fatal("LookupPlanned missed a cached covering and network")
+	}
+	if res.Covering.Size() != want.Covering.Size() || nw.Wavelengths() != 2*want.Covering.Size() {
+		t.Fatalf("LookupPlanned = %d cycles, %d wavelengths; want the cached plan of %d cycles",
+			res.Covering.Size(), nw.Wavelengths(), want.Covering.Size())
 	}
 }

@@ -19,13 +19,23 @@ import (
 const DefaultCapacity = 256
 
 // Plans memoizes verified coverings and planned WDM networks per instance
-// signature. It is safe for concurrent use; every covering handed out is
-// a private clone, so callers may canonicalize or extend their copy
-// without corrupting the cache, while cached *wdm.Network values are
-// shared and must be treated as read-only. A network is planned once per
-// signature in O(Σ|C| + n) and is immutable with its facts (ADMs,
-// transit, cost inputs) precomputed, so a hit serves the shared value and
-// reading its facts costs O(1) with no allocation.
+// signature. It is safe for concurrent use.
+//
+// Who gets a clone and who reads shared:
+//
+//   - Library callers — Cover, CoverCtx, CoverAllToAll, Lookup,
+//     CoverDelta and through them the root Planner — get a private clone
+//     of the covering, so they may canonicalize or extend their copy
+//     without corrupting the cache.
+//   - PlannedCtx and LookupPlanned hand out the cached covering itself,
+//     shared and read-only, together with the cached network. They serve
+//     the HTTP layer, whose handlers only read the covering to encode it,
+//     so a warm hit costs no copy at all.
+//   - Cached *wdm.Network values are always shared and read-only. A
+//     network is planned once per signature in O(Σ|C| + n) from the
+//     shared covering (its subnetworks reference the covering's immutable
+//     cycles) and is immutable with its facts (ADMs, transit, cost
+//     inputs) precomputed, so reading them costs O(1) with no allocation.
 type Plans struct {
 	coverings *Store
 	networks  *Store
@@ -91,18 +101,77 @@ func (p *Plans) CoverCtx(ctx context.Context, in instance.Instance, opts Options
 	if in.Demand == nil {
 		return CoverResult{}, false, fmt.Errorf("cache: instance %q has no demand graph (zero-value instance?)", in.Name)
 	}
-	sig := Signature(in, opts)
+	res, hit, err := p.cover(ctx, in, Signature(in, opts), opts)
+	if err != nil {
+		return CoverResult{}, hit, err
+	}
+	// Clone on every library exit so no two callers (nor the cache) share
+	// a mutable Cycles slice.
+	res.Covering = res.Covering.Clone()
+	return res, hit, nil
+}
+
+// PlannedCtx is the serving path's one call per plan: the verified
+// covering of the instance and, for ring instances, its planned WDM
+// network (nil for a general host), both built on a miss. sig must be
+// Signature(in, opts); the caller computes it once and reuses it as the
+// pool key and the response's signature. The covering is the cached
+// value itself, shared with every other reader and read-only — no clone
+// is made — and a network planned on a miss is built from that same
+// covering. hit reports that neither the covering nor the network had
+// to be constructed. Cancellation follows CoverCtx.
+func (p *Plans) PlannedCtx(ctx context.Context, in instance.Instance, sig string, opts Options) (CoverResult, *wdm.Network, bool, error) {
+	if in.Demand == nil {
+		return CoverResult{}, nil, false, fmt.Errorf("cache: instance %q has no demand graph (zero-value instance?)", in.Name)
+	}
+	res, hit, err := p.cover(ctx, in, sig, opts)
+	if err != nil || in.IsGeneral() {
+		// No WDM layer over a general host: the plan is the cover itself.
+		return res, nil, hit, err
+	}
+	nw, netHit, err := p.network(ctx, sig, opts, &res, func() instance.Instance { return in })
+	if err != nil {
+		return CoverResult{}, nil, false, err
+	}
+	return res, nw, hit && netHit, nil
+}
+
+// cover returns the covering cached under sig, building and verifying
+// it for in on a miss. The result shares the cached covering: callers
+// outside this package get it only as a clone or read-only.
+func (p *Plans) cover(ctx context.Context, in instance.Instance, sig string, opts Options) (CoverResult, bool, error) {
 	v, hit, err := p.coverings.DoCtx(ctx, sig, func(cctx context.Context) (any, error) {
 		return buildCover(cctx, in, opts)
 	})
 	if err != nil {
 		return CoverResult{}, hit, err
 	}
-	res := v.(CoverResult)
-	// Clone on every exit so no two callers (nor the cache) share a
-	// mutable Cycles slice.
-	res.Covering = res.Covering.Clone()
-	return res, hit, nil
+	return v.(CoverResult), hit, nil
+}
+
+// network is the one cover-then-network path: it returns the network
+// cached under sig and, on a miss, plans it over res's covering — or,
+// when res is nil, over the shared covering cached (or built) under the
+// same signature. No covering is cloned on the way. mk yields the
+// instance and is called on a miss only, so an O(1)-keyed caller
+// (NetworkAllToAll) materializes its demand graph only when planning.
+func (p *Plans) network(ctx context.Context, sig string, opts Options, res *CoverResult, mk func() instance.Instance) (*wdm.Network, bool, error) {
+	v, hit, err := p.networks.DoCtx(ctx, sig, func(cctx context.Context) (any, error) {
+		in := mk()
+		cv := res
+		if cv == nil {
+			shared, _, err := p.cover(cctx, in, sig, opts)
+			if err != nil {
+				return nil, err
+			}
+			cv = &shared
+		}
+		return wdm.Plan(cv.Covering, in.Demand)
+	})
+	if err != nil {
+		return nil, hit, err
+	}
+	return v.(*wdm.Network), hit, nil
 }
 
 // Lookup probes the covering cache without computing: it returns the
@@ -125,18 +194,29 @@ func (p *Plans) Lookup(in instance.Instance, opts Options) (CoverResult, bool) {
 	return res, true
 }
 
-// LookupNetwork probes the network cache without computing (see
-// Lookup). The returned network is shared and must be treated as
-// read-only, like every cached *wdm.Network.
-func (p *Plans) LookupNetwork(in instance.Instance, opts Options) (*wdm.Network, bool) {
-	if in.Demand == nil || in.IsGeneral() {
-		return nil, false
+// LookupPlanned probes both stores without computing, like Lookup, but
+// under a signature the caller already holds (sig must be
+// Signature(in, opts) for some opts) and without cloning: the covering is
+// the cached value, shared and read-only, and the network is the cached
+// one for ring instances (nil for a general host). A ring instance whose
+// network is not cached is a miss — the plan could not be completed
+// without doing work.
+func (p *Plans) LookupPlanned(in instance.Instance, sig string) (CoverResult, *wdm.Network, bool) {
+	if in.Demand == nil {
+		return CoverResult{}, nil, false
 	}
-	v, ok := p.networks.Get(Signature(in, opts))
+	v, ok := p.coverings.Get(sig)
 	if !ok {
-		return nil, false
+		return CoverResult{}, nil, false
 	}
-	return v.(*wdm.Network), true
+	if in.IsGeneral() {
+		return v.(CoverResult), nil, true
+	}
+	nw, ok := p.networks.Get(sig)
+	if !ok {
+		return CoverResult{}, nil, false
+	}
+	return v.(CoverResult), nw.(*wdm.Network), true
 }
 
 // CoverAllToAll is Cover for the all-to-all instance, keyed in O(1): the
@@ -168,18 +248,7 @@ func (p *Plans) NetworkAllToAll(n int, opts Options) (*wdm.Network, bool, error)
 // NetworkAllToAllCtx is NetworkAllToAll under a context (see CoverCtx).
 func (p *Plans) NetworkAllToAllCtx(ctx context.Context, n int, opts Options) (*wdm.Network, bool, error) {
 	sig := SignatureAllToAll(n, opts)
-	v, hit, err := p.networks.DoCtx(ctx, sig, func(cctx context.Context) (any, error) {
-		in := instance.AllToAll(n)
-		res, _, err := p.CoverAllToAllCtx(cctx, n, opts)
-		if err != nil {
-			return nil, err
-		}
-		return wdm.Plan(res.Covering, in.Demand)
-	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.(*wdm.Network), hit, nil
+	return p.network(ctx, sig, opts, nil, func() instance.Instance { return instance.AllToAll(n) })
 }
 
 // Network returns the planned WDM network for the instance, cached under
@@ -200,18 +269,7 @@ func (p *Plans) NetworkCtx(ctx context.Context, in instance.Instance, opts Optio
 		// has no ring routing to assign over.
 		return nil, false, fmt.Errorf("cache: WDM planning applies to ring instances only, %q is general-topology", in.Name)
 	}
-	sig := Signature(in, opts)
-	v, hit, err := p.networks.DoCtx(ctx, sig, func(cctx context.Context) (any, error) {
-		res, _, err := p.CoverCtx(cctx, in, opts)
-		if err != nil {
-			return nil, err
-		}
-		return wdm.Plan(res.Covering, in.Demand)
-	})
-	if err != nil {
-		return nil, hit, err
-	}
-	return v.(*wdm.Network), hit, nil
+	return p.network(ctx, Signature(in, opts), opts, nil, func() instance.Instance { return in })
 }
 
 // buildCover constructs and verifies a covering for the instance. Only

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -232,4 +233,61 @@ func mustRandom(t *testing.T, n int, density float64, seed int64) instance.Insta
 		t.Fatal(err)
 	}
 	return in
+}
+
+// TestPlannedCtxSharesCovering pins who gets a clone and who reads
+// shared: PlannedCtx hands every caller the cached covering itself and
+// plans the network from it in one call (miss, then hit), while CoverCtx
+// and Lookup keep returning private clones of that same entry.
+func TestPlannedCtxSharesCovering(t *testing.T) {
+	ctx := context.Background()
+	p := New(8)
+	for _, in := range []instance.Instance{instance.AllToAll(11), instance.Hub(12, 0), instance.Petersen()} {
+		sig := Signature(in, Options{})
+		first, nw, hit, err := p.PlannedCtx(ctx, in, sig, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", in.Name, err)
+		}
+		if hit {
+			t.Fatalf("%s: first PlannedCtx reported a hit", in.Name)
+		}
+		if in.IsGeneral() != (nw == nil) {
+			t.Fatalf("%s: network %v, want one exactly for ring instances", in.Name, nw)
+		}
+		again, nw2, hit, err := p.PlannedCtx(ctx, in, sig, Options{})
+		if err != nil || !hit {
+			t.Fatalf("%s: second PlannedCtx hit=%v err=%v, want a hit", in.Name, hit, err)
+		}
+		if again.Covering != first.Covering || nw2 != nw {
+			t.Fatalf("%s: PlannedCtx hit did not share the cached covering and network", in.Name)
+		}
+		if nw != nil && nw.Wavelengths() != 2*first.Covering.Size() {
+			t.Fatalf("%s: network has %d wavelengths for %d cycles", in.Name, nw.Wavelengths(), first.Covering.Size())
+		}
+		clone, _, err := p.CoverCtx(ctx, in, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		looked, ok := p.Lookup(in, Options{})
+		if !ok {
+			t.Fatalf("%s: Lookup missed", in.Name)
+		}
+		for _, c := range []*cover.Covering{clone.Covering, looked.Covering} {
+			if c == first.Covering || c.Size() != first.Covering.Size() {
+				t.Fatalf("%s: library caller got the shared covering or a different one", in.Name)
+			}
+		}
+		if !in.IsGeneral() {
+			viaNetwork, _, err := p.NetworkCtx(ctx, in, Options{})
+			if err != nil || viaNetwork != nw {
+				t.Fatalf("%s: NetworkCtx = %p (err %v), want the network PlannedCtx planned", in.Name, viaNetwork, err)
+			}
+		}
+	}
+	if st := p.Stats(); st.Coverings.Misses != 3 || st.Networks.Misses != 2 {
+		t.Fatalf("stats %+v: want one covering build per instance and one network per ring instance", st)
+	}
+	if _, _, _, err := p.PlannedCtx(ctx, instance.Instance{Name: "zero"}, "n=0", Options{}); err == nil {
+		t.Fatal("PlannedCtx accepted a zero-value instance")
+	}
 }

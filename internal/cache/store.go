@@ -90,7 +90,9 @@ func NewStore(capacity int) *Store {
 		shards = p
 	}
 	if c := capacity / 64; c < shards {
-		shards = c
+		// A store under 64 entries is one shard: 0 would select
+		// DefaultShards and split it into slivers of a few entries.
+		shards = max(c, 1)
 	}
 	return NewStoreSharded(capacity, shards)
 }

@@ -161,6 +161,12 @@ func TestStoreShardingPartitionsCapacity(t *testing.T) {
 	if got := NewStore(256).Shards(); got > 4 {
 		t.Fatalf("NewStore(256) uses %d shards, want ≤ 4", got)
 	}
+	// Below 64 entries the default constructor keeps a single shard.
+	for _, c := range []int{1, 32, 63} {
+		if got := NewStore(c).Shards(); got != 1 {
+			t.Fatalf("NewStore(%d) uses %d shards, want 1", c, got)
+		}
+	}
 }
 
 // TestStoreShardedFullWorkingSetDoesNotThrash loads exactly capacity

@@ -265,7 +265,12 @@ type exactState struct {
 	// memo is the fixed-size residual transposition table; memoOn gates
 	// every probe (false when the ring exceeds the key capacity or the
 	// caller disabled it). epoch stamps entries so a reset invalidates
-	// the whole table in O(1) without clearing it.
+	// the whole table in O(1) without clearing it. The table is
+	// allocated by the first memoStore of a search, not by resetMemo: a
+	// search that never proves a subtree infeasible — the exact member
+	// of a portfolio cancelled by an optimal closed form — never pays
+	// for it. memoMask is set by resetMemo for the size the current
+	// search wants, whether or not the table exists yet.
 	memo     []memoEntry
 	memoMask uint32
 	memoOn   bool
@@ -388,10 +393,12 @@ func memoBitsFor(n int) int {
 }
 
 // resetMemo prepares the transposition table for a fresh search:
-// eligible searches get a table sized for n with every prior entry
+// eligible searches want a table sized for n, with every prior entry
 // invalidated by the epoch bump (an O(1) reset — the table is not
-// cleared). Proofs never carry across searches, so a reused Scratch is
-// bit-identical to a fresh one, node counts included.
+// cleared). A table of another size is dropped; the right-sized one is
+// allocated lazily by the first memoStore. Proofs never
+// carry across searches, so a reused Scratch is bit-identical to a
+// fresh one, node counts included.
 func (s *exactState) resetMemo(n int, opts ExactOptions) {
 	if opts.DisableMemo || graph.PairCount(n) > graph.MaxKeyPairs {
 		s.memoOn = false
@@ -399,10 +406,9 @@ func (s *exactState) resetMemo(n int, opts ExactOptions) {
 	}
 	size := 1 << memoBitsFor(n)
 	if len(s.memo) != size {
-		s.memo = make([]memoEntry, size)
-		s.memoMask = uint32(size - 1)
-		s.epoch = 0
+		s.memo = nil
 	}
+	s.memoMask = uint32(size - 1)
 	s.epoch++
 	if s.epoch == 0 {
 		// Epoch counter wrapped: stamps from 2³² searches ago could alias
@@ -416,11 +422,12 @@ func (s *exactState) resetMemo(n int, opts ExactOptions) {
 // memoHit reports whether the current residual is already proven
 // infeasible with `left` cycles remaining: a stored proof at the same
 // residual with an equal or larger budget applies a fortiori. The probe
-// is collision-checked against the full packed key.
+// is collision-checked against the full packed key. Before the first
+// store of the search there is no table and nothing to hit.
 //
 //cyclecover:noalloc
 func (s *exactState) memoHit(left int) bool {
-	if !s.memoOn {
+	if !s.memoOn || s.memo == nil {
 		return false
 	}
 	i := uint32(s.key.Hash()) & s.memoMask
@@ -445,6 +452,12 @@ func (s *exactState) memoHit(left int) bool {
 func (s *exactState) memoStore(left int) {
 	if !s.memoOn {
 		return
+	}
+	if s.memo == nil {
+		// First proof of the search. Fresh slots carry epoch 0, which no
+		// search uses, so they read as stale, exactly as in a cleared or
+		// epoch-bumped table.
+		s.memo = make([]memoEntry, s.memoMask+1) //cyclecover:allocok the table is allocated once, on the first store of a search
 	}
 	i := uint32(s.key.Hash()) & s.memoMask
 	victim := &s.memo[i&s.memoMask]

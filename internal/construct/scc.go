@@ -491,14 +491,14 @@ func cyclesByEdge(cycles []sccCycle, m int) [][]int32 {
 
 // sccSearch is the mutable state of one branch-and-bound run.
 type sccSearch struct {
-	host    *graph.Graph
-	edges   sccEdges
-	cycles  []sccCycle
-	byEdge  [][]int32
-	limit   int64
-	nodes   int64
-	bound   *atomic.Int64
-	ctx     context.Context
+	host   *graph.Graph
+	edges  sccEdges
+	cycles []sccCycle
+	byEdge [][]int32
+	limit  int64
+	nodes  int64
+	bound  *atomic.Int64
+	ctx    context.Context
 	// art is the artificial exploration cap (literature bound + 1): no
 	// subtree that cannot beat it is entered.
 	art     int

@@ -124,20 +124,17 @@ func LookupStrategy(name string) (Strategy, bool) {
 
 // UniformLambda reports whether g is λK_n for some uniform λ ≥ 1 — the
 // demand class the paper's closed forms address. Nil-safe: an empty or
-// nil graph is not a λ-class.
+// nil graph is not a λ-class. Past an O(1) check that every pair is
+// joined, it scans the pair multiplicities in place (graph.UniformMult)
+// without allocating: every cache signature runs it, so a warm plan hit
+// pays it on each request.
+//
+//cyclecover:noalloc
 func UniformLambda(g *graph.Graph) (int, bool) {
-	n := g.N()
-	pairs := n * (n - 1) / 2
-	if pairs == 0 || g.DistinctEdges() != pairs || g.M()%pairs != 0 {
+	if g.DistinctEdges() != graph.PairCount(g.N()) {
 		return 0, false
 	}
-	lam := g.M() / pairs
-	for _, e := range g.Edges() {
-		if g.Multiplicity(e.U, e.V) != lam {
-			return 0, false
-		}
-	}
-	return lam, true
+	return g.UniformMult()
 }
 
 // ClosedForm is the paper's construction machinery: Theorem 1's odd

@@ -59,3 +59,17 @@ func BenchmarkGreedyDirect(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkUniformLambda is the λ-class recognition every cache signature
+// runs, on K_101 (5,050 pairs): the largest warm-set demand of the
+// serving benchmark. cmd/benchgate pins it at 0 allocs/op.
+func BenchmarkUniformLambda(b *testing.B) {
+	g := instance.AllToAll(101).Demand
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if lam, ok := UniformLambda(g); !ok || lam != 1 {
+			b.Fatalf("UniformLambda(K_101) = %d, %v", lam, ok)
+		}
+	}
+}

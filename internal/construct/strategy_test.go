@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/cyclecover/cyclecover/internal/cover"
+	"github.com/cyclecover/cyclecover/internal/graph"
 	"github.com/cyclecover/cyclecover/internal/instance"
 	"github.com/cyclecover/cyclecover/internal/ring"
 )
@@ -294,5 +295,30 @@ func TestPortfolioBoundPruning(t *testing.T) {
 	}
 	if err := cover.Verify(out.Covering, in.Demand); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUniformLambdaClasses pins the λ-class recognition every cache
+// signature runs: exactly the uniform λK_n demands, λ ≥ 1.
+func TestUniformLambdaClasses(t *testing.T) {
+	uneven := graph.Complete(8)
+	uneven.AddEdge(2, 5)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		lam  int
+		ok   bool
+	}{
+		{"nil", nil, 0, false},
+		{"one vertex", graph.New(1), 0, false},
+		{"edgeless", graph.New(6), 0, false},
+		{"K_9", graph.Complete(9), 1, true},
+		{"3K_7", graph.LambdaComplete(7, 3), 3, true},
+		{"K_8 plus one parallel edge", uneven, 0, false},
+		{"hub", instance.Hub(9, 0).Demand, 0, false},
+	} {
+		if lam, ok := UniformLambda(c.g); lam != c.lam || ok != c.ok {
+			t.Errorf("%s: UniformLambda = (%d, %v), want (%d, %v)", c.name, lam, ok, c.lam, c.ok)
+		}
 	}
 }

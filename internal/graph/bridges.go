@@ -50,8 +50,8 @@ func (g *Graph) FindBridge() (Edge, bool) {
 	if n == 0 {
 		return Edge{}, false
 	}
-	disc := make([]int, n)  // discovery time, 0 = unvisited
-	low := make([]int, n)   // low-link
+	disc := make([]int, n) // discovery time, 0 = unvisited
+	low := make([]int, n)  // low-link
 	parent := make([]int, n)
 	for v := range parent {
 		parent[v] = -1
@@ -63,9 +63,9 @@ func (g *Graph) FindBridge() (Edge, bool) {
 	// are small (instance admission bounds them) and the check runs once
 	// per parse, not on a hot path.
 	type frame struct {
-		v     int
-		nbrs  []int
-		next  int
+		v    int
+		nbrs []int
+		next int
 	}
 	var bridge Edge
 	found := false

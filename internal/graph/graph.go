@@ -415,6 +415,26 @@ func (g *Graph) EqualCover(h *Graph) bool {
 	return true
 }
 
+// UniformMult reports whether every vertex pair of g carries the same
+// multiplicity k, and returns k: (λ, true) exactly for λK_n, (0, true)
+// for an edgeless graph. A nil graph or one with fewer than two vertices
+// has no pairs and reports false. It is an allocation-free linear scan
+// of the pair array.
+//
+//cyclecover:noalloc
+func (g *Graph) UniformMult() (int, bool) {
+	if g == nil || len(g.mult) == 0 {
+		return 0, false
+	}
+	k := g.mult[0]
+	for _, m := range g.mult {
+		if m != k {
+			return 0, false
+		}
+	}
+	return int(k), true
+}
+
 // Covers reports whether g serves h as a demand: every edge of h appears
 // in g with at least its multiplicity. It requires h to fit (h.N() ≤
 // g.N()) and is an allocation-free linear scan; a nil h is vacuously

@@ -312,3 +312,27 @@ func TestNilGraphReadAccessors(t *testing.T) {
 		t.Error("nil graph enumerations must be nil")
 	}
 }
+
+// TestUniformMult pins the λK_n scan behind construct.UniformLambda.
+func TestUniformMult(t *testing.T) {
+	broken := LambdaComplete(6, 2)
+	broken.RemoveEdge(4, 5)
+	for _, c := range []struct {
+		name string
+		g    *Graph
+		k    int
+		ok   bool
+	}{
+		{"nil", nil, 0, false},
+		{"one vertex", New(1), 0, false},
+		{"edgeless", New(5), 0, true},
+		{"K_7", Complete(7), 1, true},
+		{"3K_5", LambdaComplete(5, 3), 3, true},
+		{"2K_6 minus one parallel edge", broken, 0, false},
+		{"C_5", Cycle(5), 0, false},
+	} {
+		if k, ok := c.g.UniformMult(); k != c.k || ok != c.ok {
+			t.Errorf("%s: UniformMult = (%d, %v), want (%d, %v)", c.name, k, ok, c.k, c.ok)
+		}
+	}
+}

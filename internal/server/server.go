@@ -242,6 +242,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	respBufs.Put(buf)
 }
 
+// writePlan writes a successful /plan body: byte-identical to
+// writeJSON(w, http.StatusOK, resp), but appended directly into a pooled
+// buffer (encode.go) and sent with one Write.
+func writePlan(w http.ResponseWriter, resp *planResponse) {
+	buf := respBufs.Get()
+	buf.Reset()
+	b, err := appendPlan(buf.AvailableBuffer(), resp, true)
+	if err != nil {
+		respBufs.Put(buf)
+		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(b)
+	respBufs.Put(recycle(buf, b))
+}
+
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
@@ -266,19 +284,19 @@ func jobStatus(ctx context.Context, err error) int {
 
 // planResponse is the JSON shape of a successful /plan.
 type planResponse struct {
-	Signature   string  `json:"signature"`
-	N           int     `json:"n"`
-	Demand      string  `json:"demand"`
-	Strategy    string  `json:"strategy,omitempty"` // non-default only
-	Size        int     `json:"size"`
-	Rho         int     `json:"rho,omitempty"` // all-to-all demands only
+	Signature string `json:"signature"`
+	N         int    `json:"n"`
+	Demand    string `json:"demand"`
+	Strategy  string `json:"strategy,omitempty"` // non-default only
+	Size      int    `json:"size"`
+	Rho       int    `json:"rho,omitempty"` // all-to-all demands only
 	// Length and SCCLowerBound report the shortest-cycle-cover objective
 	// for general-topology instances: total edge count of the cover and
 	// the provable lower bound max(m, Σ_v ⌈deg(v)/2⌉). Zero for ring
 	// instances, whose objective is the cycle count (Size).
-	Length        int     `json:"length,omitempty"`
-	SCCLowerBound int     `json:"sccLowerBound,omitempty"`
-	Optimal       bool    `json:"optimal"`
+	Length        int  `json:"length,omitempty"`
+	SCCLowerBound int  `json:"sccLowerBound,omitempty"`
+	Optimal       bool `json:"optimal"`
 	// Degraded marks a plan built (or served) under deadline pressure by
 	// the anytime portfolio rather than the full pipeline: verified, but
 	// with no optimality claim. Stale additionally marks a degraded
@@ -295,9 +313,11 @@ type planResponse struct {
 	CacheHit    bool    `json:"cacheHit"`
 }
 
-// planned bundles what one pool job computes. nw is the cached network
-// itself: a planned *wdm.Network is immutable and its facts are stored
-// by wdm.Plan, so handlers read them concurrently without copying.
+// planned bundles what one pool job computes. res.Covering and nw are
+// the cached values themselves (cache.Plans.PlannedCtx): a planned
+// *wdm.Network is immutable with its facts stored by wdm.Plan, and the
+// covering is only read to encode it, so handlers share both
+// concurrently without copying.
 type planned struct {
 	res cache.CoverResult
 	nw  *wdm.Network // nil for general instances
@@ -361,23 +381,16 @@ func (s *Server) planOne(ctx context.Context, n int, spec, strategy string) (pla
 			}
 		}
 	}
+	// One signature per request: the pool key, the cache key and the
+	// response's "signature" field.
 	sig := cache.Signature(in, opts)
 	jobStart := time.Now()
 	v, err := s.pool.Submit(ctx, sig, func(jctx context.Context) (any, error) {
-		res, coverHit, err := s.plans.CoverCtx(jctx, in, opts)
+		res, nw, hit, err := s.plans.PlannedCtx(jctx, in, sig, opts)
 		if err != nil {
 			return nil, err
 		}
-		if in.IsGeneral() {
-			// No WDM layer over a general host: the plan is the cover
-			// itself, judged by the shortest-cycle-cover objective.
-			return planned{res: res, hit: coverHit}, nil
-		}
-		nw, netHit, err := s.plans.NetworkCtx(jctx, in, opts)
-		if err != nil {
-			return nil, err
-		}
-		return planned{res: res, nw: nw, hit: coverHit && netHit}, nil
+		return planned{res: res, nw: nw, hit: hit}, nil
 	})
 	if err != nil {
 		return planResponse{}, jobStatus(ctx, err), fmt.Errorf("plan failed: %w", err)
@@ -441,17 +454,12 @@ func buildPlanResponse(sig string, in instance.Instance, strategy string, res ca
 // be completed without doing work).
 func (s *Server) stalePlan(in instance.Instance, strategy string) (planResponse, bool) {
 	for _, o := range []cache.Options{{Strategy: strategy}, {Strategy: strategy, Degrade: true}} {
-		res, ok := s.plans.Lookup(in, o)
+		sig := cache.Signature(in, o)
+		res, nw, ok := s.plans.LookupPlanned(in, sig)
 		if !ok {
 			continue
 		}
-		var nw *wdm.Network
-		if !in.IsGeneral() {
-			if nw, ok = s.plans.LookupNetwork(in, o); !ok {
-				continue
-			}
-		}
-		resp := buildPlanResponse(cache.Signature(in, o), in, strategy, res, nw, true)
+		resp := buildPlanResponse(sig, in, strategy, res, nw, true)
 		resp.Degraded = true
 		resp.Stale = true
 		return resp, true
@@ -508,7 +516,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	} else if resp.Degraded {
 		w.Header().Set("X-Degraded", "true")
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writePlan(w, &resp)
 }
 
 // MaxBatchItems bounds how many plan requests one /plan/batch call may
@@ -522,6 +530,9 @@ const maxBatchBody = 8 << 20
 // maxBatchLine bounds one NDJSON line of a batch; any well-formed plan
 // request is a few dozen bytes, so this is pure headroom.
 const maxBatchLine = 1 << 20
+
+// batchScanBuf is the batch scanner's initial buffer.
+const batchScanBuf = 4 << 10
 
 // batchPlanRequest is one NDJSON line of a POST /plan/batch body.
 type batchPlanRequest struct {
@@ -570,7 +581,9 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var items []batchItem
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), maxBatchLine)
+	// Batch bodies are a few hundred bytes: start small and let the
+	// scanner grow toward maxBatchLine only for a body that needs it.
+	sc.Buffer(make([]byte, 0, batchScanBuf), maxBatchLine)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -666,13 +679,20 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	buf := respBufs.Get()
 	for line := range results {
-		enc.Encode(line)
+		buf.Reset()
+		// A line that fails to encode is skipped, as json.Encoder.Encode
+		// writes nothing on error.
+		if b, err := appendBatchLine(buf.AvailableBuffer(), &line); err == nil {
+			w.Write(b)
+			buf = recycle(buf, b)
+		}
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
+	respBufs.Put(buf)
 }
 
 // verifyRequest is the JSON body of POST /verify: a covering in the

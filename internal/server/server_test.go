@@ -539,6 +539,19 @@ func TestPlanBatchRequestValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized batch: status %d, want 413", resp.StatusCode)
 	}
+
+	// The scanner starts at batchScanBuf and grows: a line far longer
+	// than that but under maxBatchLine is served; one over the cap is 413.
+	padded := `{"n": 9,` + strings.Repeat(" ", 16*batchScanBuf) + `"demand": "alltoall"}` + "\n"
+	resp, lines := postNDJSON(t, ts.URL+"/plan/batch", padded)
+	if resp.StatusCode != http.StatusOK || len(lines) != 1 || lines[0].Plan == nil {
+		t.Fatalf("long line: status %d, lines %+v, want one plan", resp.StatusCode, lines)
+	}
+	tooLong := `{"n": 9,` + strings.Repeat(" ", maxBatchLine) + `}` + "\n"
+	resp, _ = postNDJSON(t, ts.URL+"/plan/batch", tooLong)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("line over %d bytes: status %d, want 413", maxBatchLine, resp.StatusCode)
+	}
 }
 
 // TestPlanRejectsNonFiniteDensity pins the HTTP mapping of the NaN
@@ -587,6 +600,48 @@ func BenchmarkPlanBatchWarm(b *testing.B) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK || strings.Count(string(out), "\n") != 8 {
 			b.Fatalf("status %d, %d lines", resp.StatusCode, strings.Count(string(out), "\n"))
+		}
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps headers and drops the
+// body, so a handler benchmark measures the handler, not a recorder's
+// growing buffer.
+type discardWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (d *discardWriter) Header() http.Header { return d.h }
+
+func (d *discardWriter) WriteHeader(status int) { d.status = status }
+
+func (d *discardWriter) Write(p []byte) (int, error) {
+	d.n += len(p)
+	return len(p), nil
+}
+
+// BenchmarkPlanHitK101 is one warm /plan hit for K_101 through the
+// handler: parse, signature, cache, response build and encode of the
+// 65 KB body, without the network stack.
+func BenchmarkPlanHitK101(b *testing.B) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	h := s.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/plan?n=101", nil)
+	w := &discardWriter{h: http.Header{}}
+	h.ServeHTTP(w, req)
+	if w.status != http.StatusOK {
+		b.Fatalf("warm-up status %d", w.status)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := &discardWriter{h: http.Header{}}
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusOK || w.h.Get("X-Cache") != "HIT" {
+			b.Fatalf("status %d, X-Cache %q", w.status, w.h.Get("X-Cache"))
 		}
 	}
 }
